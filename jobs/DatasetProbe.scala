@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.er.Datasets
 import repro.exp.Experiments
 
@@ -10,14 +9,7 @@ import repro.exp.Experiments
   */
 object DatasetProbe {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("DatasetProbe")
-      .config("spark.sql.shuffle.partitions", "32")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.ui.enabled", false)
-      .getOrCreate()
-    spark.sparkContext.setLogLevel("WARN")
+    val spark = repro.Session.make("DatasetProbe")
     val names = if (args.nonEmpty) args.toSeq else Datasets.cleanClean.map(_.name)
     val (_, t1, t2) = Experiments.datasetAndBlockingTables(spark, names)
     println("== Table 1 (analog) ==")

@@ -1,26 +1,11 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
+import repro.Session
 import repro.core.Scheme
 import repro.exp.Experiments
 
-/** Shared session construction for the spark-submit entrypoints. */
-object JobSession {
-  def make(name: String): SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
-      .config("spark.sql.shuffle.partitions",
-        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.sql.ansi.enabled", false)
-      .config("spark.sql.maxPlanStringLength", 8192)
-      .config("spark.ui.enabled", false)
-      .getOrCreate()
-    s.sparkContext.setLogLevel("WARN")
-    s
-  }
-
+/** Dataset names shared by the spark-submit entrypoints. */
+object JobDatasets {
   val allCc: Seq[String] = repro.er.Datasets.cleanClean.map(_.name)
   val allDirty: Seq[String] = repro.er.Datasets.scalability.map(_.name)
 }
@@ -28,8 +13,8 @@ object JobSession {
 /** Tables 1 and 2: dataset characteristics + blocking effectiveness. */
 object Table1Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("table1-2")
-    val names = if (args.nonEmpty) args.toSeq else JobSession.allCc
+    val spark = Session.make("table1-2")
+    val names = if (args.nonEmpty) args.toSeq else JobDatasets.allCc
     val (_, t1, t2) = Experiments.datasetAndBlockingTables(spark, names)
     println("== Table 1 ==\n" + t1)
     println("== Table 2 ==\n" + t2)
@@ -42,8 +27,8 @@ object SweepJob {
   def main(args: Array[String]): Unit = {
     val algo = args.headOption.getOrElse("BLAST")
     val n = args.lift(1).map(_.toInt).getOrElse(7)
-    val spark = JobSession.make(s"sweep-$algo")
-    val pairs = JobSession.allCc.take(n).map { name =>
+    val spark = Session.make(s"sweep-$algo")
+    val pairs = JobDatasets.allCc.take(n).map { name =>
       val p = Experiments.prepareByName(spark, name)
       val lp = Experiments.local(p)
       p.unpersist()
@@ -59,8 +44,8 @@ object SweepJob {
 /** Table 5: weight-based finals. */
 object Table5Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("table5")
-    val names = if (args.nonEmpty) args.toSeq else JobSession.allCc
+    val spark = Session.make("table5")
+    val names = if (args.nonEmpty) args.toSeq else JobDatasets.allCc
     val rows = Experiments.finals(spark, names, Experiments.table5Configs)
     println(Experiments.finalsTable(rows, Experiments.table5Configs))
     spark.stop()
@@ -70,7 +55,7 @@ object Table5Job {
 /** Table 6: BLAST's logistic-regression models over the D100K analog. */
 object Table6Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("table6")
+    val spark = Session.make("table6")
     val p = Experiments.prepareByName(spark, args.headOption.getOrElse("D100K-A"))
     val lp = Experiments.local(p)
     println(Experiments.modelTable(Experiments.blastModels(lp)))
@@ -81,8 +66,8 @@ object Table6Job {
 /** Table 7: cardinality-based finals. */
 object Table7Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("table7")
-    val names = if (args.nonEmpty) args.toSeq else JobSession.allCc
+    val spark = Session.make("table7")
+    val names = if (args.nonEmpty) args.toSeq else JobDatasets.allCc
     val rows = Experiments.finals(spark, names, Experiments.table7Configs)
     println(Experiments.finalsTable(rows, Experiments.table7Configs))
     spark.stop()
@@ -92,8 +77,8 @@ object Table7Job {
 /** Figures 5/6: average effectiveness of all eight pruning algorithms. */
 object AlgoSelectionJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("algo-selection")
-    val names = if (args.nonEmpty) args.toSeq else JobSession.allCc.take(7)
+    val spark = Session.make("algo-selection")
+    val names = if (args.nonEmpty) args.toSeq else JobDatasets.allCc.take(7)
     val pairs = names.map { name =>
       val p = Experiments.prepareByName(spark, name)
       val lp = Experiments.local(p)
@@ -110,8 +95,8 @@ object TrainingSizeJob {
   def main(args: Array[String]): Unit = {
     val algo = args.headOption.getOrElse("BLAST")
     val schemes = if (algo == "RCNP") Scheme.rcnpOptimal else Scheme.blastOptimal
-    val spark = JobSession.make(s"training-size-$algo")
-    val pairs = JobSession.allCc.take(7).map { name =>
+    val spark = Session.make(s"training-size-$algo")
+    val pairs = JobDatasets.allCc.take(7).map { name =>
       val p = Experiments.prepareByName(spark, name)
       val lp = Experiments.local(p)
       p.unpersist()
@@ -128,8 +113,8 @@ object TrainingSizeJob {
 /** Figures 17/18: the scalability study over the Dirty ER analogs. */
 object ScalabilityJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("scalability")
-    val names = if (args.nonEmpty) args.toSeq else JobSession.allDirty
+    val spark = Session.make("scalability")
+    val names = if (args.nonEmpty) args.toSeq else JobDatasets.allDirty
     val rows = Experiments.scalability(spark, names, Seq(1L, 2L))
     println(Experiments.scalabilityTable(rows))
     spark.stop()

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{coalesce, count, lit, sum}
+import repro.LocalCheckpoint
 import repro.blocking.{BlockCollection, BlockStats}
 import repro.er.ErDataset
 
@@ -11,7 +12,8 @@ object Pipeline {
 
   /** Result of one meta-blocking run. `runtimeSec` covers feature
     * generation, training, scoring and pruning (the paper's RT definition,
-    * §2.1.1) but not the effectiveness evaluation itself.
+    * §2.1.1). Its last query materializes the retained pairs and, in the
+    * same aggregate, counts them and their duplicates.
     */
   final case class RunResult(metrics: Evaluation.Metrics, runtimeSec: Double, model: LRModel)
 
@@ -25,10 +27,13 @@ object Pipeline {
 
   /** One full supervised meta-blocking run over a prepared block collection.
     *
-    * Feature generation is *not* cached here on purpose: RT must reflect the
-    * cost profile of the chosen feature set (LCP-free sets are cheaper), and
-    * the paper's algorithms likewise recompute probabilities on each of
-    * their passes over C.
+    * The labeled features are computed once, inside the timed region, and
+    * kept as a lineage-free table (`localCheckpoint`) that sampling, scoring
+    * and pruning all read. RT thus covers exactly one materialization of the
+    * chosen feature set, so LCP-free sets stay cheaper. Pruning carries each
+    * pair's `label`, and one aggregate over the retained pairs yields |C'|
+    * and tp; it ends the timed region. The table is released before
+    * returning.
     *
     * @param algo        one of [[Pruning.weightBased]] / [[Pruning.cardinalityBased]]
     * @param schemes     feature set
@@ -47,44 +52,14 @@ object Pipeline {
     val nDup = ds.groundTruth.count()
     val t0 = System.nanoTime()
     val labeled = Features.labeled(Features.compute(bc, schemes), ds.groundTruth)
-    val cols = Scheme.featureColumns(schemes)
-    val ts = Trainer.sample(labeled, cols, nPos, nNeg, seed)
-    val model = LogisticRegression.train(ts.featureNames, ts.x, ts.y)
-    val scored = Trainer.score(labeled, model)
-    val retained = Pruning.byName(algo, scored, bc.cepK, bc.cnpK, blastR)
-      .cache()
-    retained.count() // materialize: end of the timed region
-    val rt = (System.nanoTime() - t0) / 1e9
-    val metrics = Evaluation.evaluate(retained, ds.groundTruth, nDup)
-    retained.unpersist()
-    RunResult(metrics, rt, model)
-  }
-
-  /** Variant over a pre-cached labeled feature table — used by effectiveness
-    * sweeps where RT is not being measured and recomputation would dominate.
-    */
-  def runCached(
-      labeled: DataFrame,
-      groundTruth: DataFrame,
-      nDup: Long,
-      bc: BlockCollection,
-      schemes: Seq[Scheme],
-      algo: String,
-      nPos: Int,
-      nNeg: Int,
-      seed: Long,
-      blastR: Double = Pruning.BlastRatio,
-  ): RunResult = {
-    val cols = Scheme.featureColumns(schemes)
-    val t0 = System.nanoTime()
-    val ts = Trainer.sample(labeled, cols, nPos, nNeg, seed)
-    val model = LogisticRegression.train(ts.featureNames, ts.x, ts.y)
-    val scored = Trainer.score(labeled, model)
-    val retained = Pruning.byName(algo, scored, bc.cepK, bc.cnpK, blastR).cache()
-    retained.count()
-    val rt = (System.nanoTime() - t0) / 1e9
-    val metrics = Evaluation.evaluate(retained, groundTruth, nDup)
-    retained.unpersist()
-    RunResult(metrics, rt, model)
+      .localCheckpoint()
+    try {
+      val ts = Trainer.sample(labeled, Scheme.featureColumns(schemes), nPos, nNeg, seed)
+      val model = LogisticRegression.train(ts.featureNames, ts.x, ts.y)
+      val retained = Pruning.byName(algo, Trainer.score(labeled, model), bc.cepK, bc.cnpK, blastR)
+      val counts = retained.agg(count(lit(1)), coalesce(sum("label"), lit(0L))).collect()(0)
+      val rt = (System.nanoTime() - t0) / 1e9
+      RunResult(Evaluation.of(counts.getLong(1), counts.getLong(0), nDup), rt, model)
+    } finally LocalCheckpoint.release(labeled)
   }
 }

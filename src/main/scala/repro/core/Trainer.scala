@@ -19,8 +19,12 @@ object Trainer {
     def size: Int = y.length
   }
 
-  /** @param labeled output of [[Features.labeled]] — (i, j, features..., label)
+  /** Both classes are drawn in one query: the two per-class top-n rows are
+    * collected together and put in order on the driver.
+    *
+    * @param labeled output of [[Features.labeled]] — (i, j, features..., label)
     * @param featureCols feature columns, in model order
+    * @return positives first, then negatives, each in (pair key, i, j) order
     */
   def sample(
       labeled: DataFrame,
@@ -29,18 +33,21 @@ object Trainer {
       nNeg: Int,
       seed: Long,
   ): TrainingSet = {
-    def take(label: Int, n: Int): Array[(Array[Double], Int)] =
+    val key = Hashing.pairKeyCol(col("i"), col("j"), seed)
+    def top(label: Int, n: Int): DataFrame =
       labeled
         .filter(col("label") === label)
-        .orderBy(Hashing.pairKeyCol(col("i"), col("j"), seed), col("i"), col("j"))
+        .select(Seq(col("label").cast("int"), key.as("pairKey"), col("i").cast("long"),
+          col("j").cast("long")) ++ featureCols.map(c => col(c).cast("double")): _*)
+        .orderBy("pairKey", "i", "j")
         .limit(n)
-        .select(featureCols.map(c => col(c).cast("double")): _*)
-        .collect()
-        .map(r => (featureCols.indices.map(r.getDouble).toArray, label))
 
-    val rows = take(1, nPos) ++ take(0, nNeg)
+    val rows = top(1, nPos).union(top(0, nNeg)).collect()
+      .sortBy(r => (-r.getInt(0), r.getLong(1), r.getLong(2), r.getLong(3)))
     require(rows.nonEmpty, "no training instances available")
-    TrainingSet(featureCols, rows.map(_._1), rows.map(_._2))
+    TrainingSet(featureCols,
+      rows.map(r => featureCols.indices.map(k => r.getDouble(4 + k)).toArray),
+      rows.map(_.getInt(0)))
   }
 
   /** Train a probabilistic classifier on a balanced sample.

@@ -1,6 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.LocalCheckpoint
 import repro.blocking.{BlockCollection, BlockStats}
 import repro.core._
 import repro.er.{Datasets, ErDataset, ErSynth}
@@ -20,7 +21,7 @@ object Experiments {
   // --------------------------------------------------------------- plumbing
 
   /** A dataset prepared for meta-blocking: blocks built, all-8-scheme feature
-    * table computed, labeled and cached.
+    * table computed, labeled and materialized (`localCheckpoint`).
     */
   final case class Prepared(
       ds: ErDataset,
@@ -29,11 +30,8 @@ object Experiments {
       nDup: Long,
       nCandidates: Long,
   ) {
-    def unpersist(): Unit = {
-      labeled.unpersist()
-      bc.eb.unpersist()
-      bc.blockStats.unpersist()
-    }
+    /** Release the feature table and the blocks, without blocking. */
+    def unpersist(): Unit = LocalCheckpoint.release(labeled, bc.eb, bc.blockStats)
   }
 
   def prepare(ds: ErDataset): Prepared = {
@@ -159,9 +157,10 @@ object Experiments {
     case Right(frac) => math.max(5, math.ceil(frac * nDup).toInt)
   }
 
-  /** Run the final configurations over every dataset with the un-cached
-    * DataFrame pipeline (RT is part of the result). Metrics are averaged
-    * over `seeds`; RT is the mean wall time.
+  /** Run the final configurations over every dataset with
+    * [[Pipeline.run]], which computes each run's features itself (RT is
+    * part of the result). Metrics are averaged over `seeds`; RT is the mean
+    * wall time.
     */
   def finals(spark: SparkSession, names: Seq[String], configs: Seq[FinalConfig],
              seeds: Seq[Long] = Seeds): Seq[FinalRow] =
@@ -175,7 +174,7 @@ object Experiments {
         FinalRow(n, cfg.label, meanMetrics(runs.map(_.metrics)),
           avg(runs.map(_.runtimeSec)))
       }
-      bc.eb.unpersist(); bc.blockStats.unpersist()
+      LocalCheckpoint.release(bc.eb, bc.blockStats)
       rows
     }
 
@@ -274,7 +273,7 @@ object Experiments {
 
   /** Scalability study (§5.5, Figs 17/18): BCl/CNP with the [21] config vs
     * BLAST/RCNP with 50 labelled instances, over the Dirty ER analogs.
-    * RT uses the uncached DataFrame pipeline; speedup extrapolates from the
+    * RT comes from [[Pipeline.run]] (features computed per run); speedup extrapolates from the
     * smallest dataset as in the paper.
     */
   def scalability(spark: SparkSession, names: Seq[String],
@@ -295,7 +294,7 @@ object Experiments {
           perClass, perClass, s))
         (cfg.label, meanMetrics(runs.map(_.metrics)), avg(runs.map(_.runtimeSec)))
       }
-      bc.eb.unpersist(); bc.blockStats.unpersist()
+      LocalCheckpoint.release(bc.eb, bc.blockStats)
       (n, nCand, rows)
     }
 

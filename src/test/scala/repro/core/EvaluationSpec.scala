@@ -49,6 +49,10 @@ class EvaluationSpec extends SparkSpec {
       pairs((1L, 10L), (9L, 90L)), gt((1L, 10L), (2L, 20L)), 2)
     val viaCounts = Evaluation.of(tp = 1, retained = 2, nDuplicates = 2)
     assert(viaDf === viaCounts)
+    // A pruning result that carries `label` is evaluated on (i, j) alone.
+    val withLabel = Evaluation.evaluate(
+      Seq((1L, 10L, 0), (9L, 90L, 0)).toDF("i", "j", "label"), gt((1L, 10L), (2L, 20L)), 2)
+    assert(withLabel === viaCounts)
   }
 
   test("zero duplicates yields zero recall without dividing by zero") {

@@ -62,8 +62,7 @@ class LocalSweepEquivalenceSpec extends SparkSpec {
 
     // 3. And the end-to-end metrics agree.
     for (algo <- Seq("BLAST", "RCNP")) {
-      val dfRun = Pipeline.runCached(labeled, ds.groundTruth, nDup, bc, schemes,
-        algo, 25, 25, seed)
+      val dfRun = Pipeline.run(ds, bc, schemes, algo, 25, 25, seed)
       val localRun = LocalSweep.run(lp, schemes, algo, 25, 25, seed)
       assert(dfRun.metrics.retained === localRun.retained, s"$tag/$algo retained")
       assert(dfRun.metrics.truePositives === localRun.truePositives, s"$tag/$algo tp")

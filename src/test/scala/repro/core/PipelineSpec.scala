@@ -43,15 +43,13 @@ class PipelineSpec extends SparkSpec {
     assert(r.model.weights.length === Scheme.featureColumns(Scheme.blastOptimal).size)
   }
 
-  test("runCached equals run for the same configuration") {
-    val labeled = Features.labeled(
-      Features.compute(bc, Scheme.blastOptimal), ds.groundTruth).localCheckpoint()
-    val a = Pipeline.run(ds, bc, Scheme.blastOptimal, "BLAST", 25, 25, 5)
-    val b = Pipeline.runCached(labeled, ds.groundTruth, ds.groundTruth.count(),
-      bc, Scheme.blastOptimal, "BLAST", 25, 25, 5)
-    assert(a.metrics.retained === b.metrics.retained)
-    assert(a.metrics.truePositives === b.metrics.truePositives)
-    labeled.unpersist()
+  test("run releases the feature table it materializes") {
+    val sc = spark.sparkContext
+    assert(bc.nBlocks > 0) // the blocks are built, and held, before the run
+    val before = sc.getRDDStorageInfo.map(_.id).toSet
+    Pipeline.run(ds, bc, Scheme.rcnpOptimal, "RCNP", 25, 25, 4)
+    val added = sc.getRDDStorageInfo.map(_.id).toSet -- before
+    assert(added.isEmpty, s"RDDs still held after the run: $added")
   }
 
   test("dirty ER end-to-end") {

@@ -86,6 +86,23 @@ class PruningSpec extends SparkSpec {
     assert(run(Pruning.cep(scored, 100)).size === 6)
   }
 
+  test("CEP with K beyond Int range keeps every valid pair, as BCl does") {
+    assert(run(Pruning.cep(scored, (1L << 31) + 1)) === run(Pruning.bcl(scored)))
+  }
+
+  test("every algorithm carries label after (i, j) and keeps the same pairs") {
+    val labeled = scored.withColumn("label", (col("prob") > 0.65).cast("int"))
+    val labels = labeled.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getInt(3)).toMap
+    for (algo <- Pruning.weightBased ++ Pruning.cardinalityBased) {
+      val withLabel = Pruning.byName(algo, labeled, cepK = 3, cnpK = 1)
+      assert(withLabel.columns.toSeq === Seq("i", "j", "label"), algo)
+      assert(run(withLabel) === run(Pruning.byName(algo, scored, cepK = 3, cnpK = 1)), algo)
+      withLabel.collect().foreach { r =>
+        assert(r.getInt(2) === labels((r.getLong(0), r.getLong(1))), s"$algo label of $r")
+      }
+    }
+  }
+
   test("CNP keeps pairs in either endpoint's top-k queue") {
     // k=1 queues: e1→(1,101); e2→(2,101) (tie .70/.70 broken by j asc);
     // e101→(1,101); e102→(2,102); e103→(1,103); e4/104→(4,104)

@@ -1,9 +1,10 @@
 package repro.exp
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.core.{Evaluation, LocalSweep, Scheme}
+import repro.er.{Datasets, ErSynth}
 
-class ExperimentsSpec extends AnyFunSuite {
+class ExperimentsSpec extends SparkSpec {
 
   test("avg and meanMetrics average componentwise") {
     val a = Evaluation.Metrics(0.8, 0.4, 0.5, 100, 40)
@@ -80,5 +81,17 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(t.contains("(average)"))
     assert(t.contains("train=25/class"))
     assert(t.contains("5% of |D| /class"))
+  }
+
+  test("Prepared.unpersist frees the tables prepare materialized") {
+    val sc = spark.sparkContext
+    val ds = ErSynth.dirty(spark, Datasets.unitDirty)
+    val before = sc.getRDDStorageInfo.map(_.id).toSet
+    val p = Experiments.prepare(ds)
+    assert((sc.getRDDStorageInfo.map(_.id).toSet -- before).nonEmpty,
+      "prepare should hold its blocks and features")
+    p.unpersist()
+    val added = sc.getRDDStorageInfo.map(_.id).toSet -- before
+    assert(added.isEmpty, s"RDDs still held after unpersist: $added")
   }
 }
