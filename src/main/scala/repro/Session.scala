@@ -18,9 +18,6 @@ object Session {
         sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       // Keep joins on the shuffle path at the small sizes tests run at.
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // Legacy (wrapping) arithmetic: the SplitMix64 sampling hash relies on
-      // two's-complement overflow, which ANSI mode rejects.
-      .config("spark.sql.ansi.enabled", false)
       // Cap plan descriptions: the pruning queries reference the feature
       // table several times and full descriptions get expensive.
       .config("spark.sql.maxPlanStringLength", 8192)

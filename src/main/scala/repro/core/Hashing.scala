@@ -1,13 +1,13 @@
 package repro.core
 
 import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.udf
 
-/** SplitMix64 finalizer, implemented twice: as plain Scala and as a Catalyst
-  * column expression. Both operate on JVM/LongType two's-complement longs, so
-  * they agree bit-for-bit — which is what lets the driver-side sweep
-  * ([[LocalSweep]]) draw the *same* training samples as the DataFrame path
-  * ([[Trainer.sample]]). Equality of the two implementations is unit-tested.
+/** SplitMix64 finalizer over a candidate pair, implemented once in plain
+  * Scala. The DataFrame path ([[Trainer.sample]]) calls it through a
+  * deterministic UDF and the driver-side sweep ([[LocalSweep]]) calls it
+  * directly, so both draw the *same* training samples. Arithmetic wraps on
+  * JVM longs whatever the session's ANSI setting.
   */
 object Hashing {
 
@@ -26,14 +26,7 @@ object Hashing {
     z ^ (z >>> 31)
   }
 
-  /** The same function over LongType columns. */
+  /** [[pairKey]] over two integral columns, as a deterministic UDF. */
   def pairKeyCol(i: Column, j: Column, seed: Long): Column =
-    mixCol(i * lit(0x100000001B3L) + j + lit(seed * C1))
-
-  private def mixCol(v0: Column): Column = {
-    val z0 = v0 + lit(C1)
-    val z1 = z0.bitwiseXOR(shiftrightunsigned(z0, 30)) * lit(C2)
-    val z2 = z1.bitwiseXOR(shiftrightunsigned(z1, 27)) * lit(C3)
-    z2.bitwiseXOR(shiftrightunsigned(z2, 31))
-  }
+    udf((a: Long, b: Long) => pairKey(a, b, seed)).apply(i.cast("long"), j.cast("long"))
 }

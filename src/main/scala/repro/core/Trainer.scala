@@ -5,8 +5,9 @@ import org.apache.spark.sql.functions._
 
 /** Balanced training-set construction via undersampling (§1.1, §5.1): sample
   * `nPos` positive and `nNeg` negative candidate pairs from the labeled
-  * feature table. Sampling is deterministic in `seed` — rows are ordered by a
-  * seeded hash of the pair key, which is a uniform pseudo-random permutation.
+  * feature table, for [[LogisticRegression.train]]. Sampling is deterministic
+  * in `seed`: rows are ordered by [[Hashing.pairKey]] (a uniform pseudo-random
+  * permutation), the same function [[LocalSweep.sample]] orders by.
   */
 object Trainer {
 
@@ -48,16 +49,6 @@ object Trainer {
     TrainingSet(featureCols,
       rows.map(r => featureCols.indices.map(k => r.getDouble(4 + k)).toArray),
       rows.map(_.getInt(0)))
-  }
-
-  /** Train a probabilistic classifier on a balanced sample.
-    *
-    * @param perClass labelled instances per class (25 in the paper's final
-    *                 configuration, 250 for the 500-instance experiments)
-    */
-  def fit(labeled: DataFrame, featureCols: Seq[String], perClass: Int, seed: Long): LRModel = {
-    val ts = sample(labeled, featureCols, perClass, perClass, seed)
-    LogisticRegression.train(ts.featureNames, ts.x, ts.y)
   }
 
   /** Score all candidate pairs with the trained model: adds a `prob` column

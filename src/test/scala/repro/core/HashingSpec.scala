@@ -30,6 +30,10 @@ class HashingSpec extends SparkSpec {
     }
   }
 
+  test("the shared session runs Spark's default ANSI mode") {
+    assert(spark.conf.get("spark.sql.ansi.enabled") === "true")
+  }
+
   test("different seeds permute differently") {
     val keys1 = (0L until 100L).map(k => Hashing.pairKey(k, k + 1, seed = 1))
     val keys2 = (0L until 100L).map(k => Hashing.pairKey(k, k + 1, seed = 2))

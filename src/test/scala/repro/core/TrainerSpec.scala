@@ -14,6 +14,11 @@ class TrainerSpec extends SparkSpec {
 
   private val cols = Scheme.featureColumns(Scheme.blastOptimal)
 
+  private def train(perClass: Int, seed: Long): LRModel = {
+    val ts = Trainer.sample(labeled, cols, perClass, perClass, seed)
+    LogisticRegression.train(ts.featureNames, ts.x, ts.y)
+  }
+
   test("sample returns the requested class balance") {
     val ts = Trainer.sample(labeled, cols, nPos = 25, nNeg = 25, seed = 1)
     assert(ts.size === 50)
@@ -48,7 +53,7 @@ class TrainerSpec extends SparkSpec {
   }
 
   test("fit produces a model that separates the classes on average") {
-    val model = Trainer.fit(labeled, cols, perClass = 25, seed = 1)
+    val model = train(perClass = 25, seed = 1)
     val scored = Trainer.score(labeled, model)
     val byLabel = scored.groupBy("label").agg(avg("prob")).collect()
       .map(r => r.getInt(0) -> r.getDouble(1)).toMap
@@ -57,14 +62,14 @@ class TrainerSpec extends SparkSpec {
   }
 
   test("score adds a prob column in [0,1] for every pair") {
-    val model = Trainer.fit(labeled, cols, 25, 1)
+    val model = train(25, 1)
     val scored = Trainer.score(labeled, model)
     assert(scored.count() === labeled.count())
     assert(scored.filter(col("prob") < 0 || col("prob") > 1).count() === 0)
   }
 
   test("Catalyst scoring matches driver-side scoring exactly") {
-    val model = Trainer.fit(labeled, cols, 25, 2)
+    val model = train(25, 2)
     val rows = Trainer.score(labeled, model)
       .select((cols.map(c => col(c).cast("double")) :+ col("prob")): _*)
       .limit(500).collect()
