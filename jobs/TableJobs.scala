@@ -1,7 +1,7 @@
 package repro.jobs
 
 import repro.Session
-import repro.core.Scheme
+import repro.core.{Pruning, Scheme}
 import repro.exp.Experiments
 
 /** Dataset names shared by the spark-submit entrypoints. */
@@ -26,6 +26,7 @@ object Table1Table2Job {
 object SweepJob {
   def main(args: Array[String]): Unit = {
     val algo = args.headOption.getOrElse("BLAST")
+    Pruning.rule(algo) // a misspelled name fails before any dataset is built
     val n = args.lift(1).map(_.toInt).getOrElse(7)
     val spark = Session.make(s"sweep-$algo")
     val pairs = JobDatasets.allCc.take(n).map { name =>
@@ -94,6 +95,7 @@ object AlgoSelectionJob {
 object TrainingSizeJob {
   def main(args: Array[String]): Unit = {
     val algo = args.headOption.getOrElse("BLAST")
+    Pruning.rule(algo) // a misspelled name fails before any dataset is built
     val schemes = if (algo == "RCNP") Scheme.rcnpOptimal else Scheme.blastOptimal
     val spark = Session.make(s"training-size-$algo")
     val pairs = JobDatasets.allCc.take(7).map { name =>

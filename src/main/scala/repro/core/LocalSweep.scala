@@ -12,9 +12,9 @@ import scala.collection.mutable
   * The feature table is collected once; every run is then pure in-memory
   * arithmetic. Semantics are identical to the DataFrame path: the training
   * sample uses the same [[Hashing]] order as [[Trainer.sample]], the same
-  * classifier, and pruning mirrors [[Pruning]] algorithm-for-algorithm with
-  * the same deterministic tie-breaking — equivalence is unit-tested
-  * pair-for-pair on generated data.
+  * classifier, and pruning interprets the same rule table,
+  * [[Pruning.rules]], with the same deterministic tie-breaking — equivalence
+  * is unit-tested pair-for-pair on generated data.
   */
 object LocalSweep {
 
@@ -94,64 +94,76 @@ object LocalSweep {
 
   // ------------------------------------------------------------------ pruning
 
-  /** Indices of the retained pairs for `algo`, mirroring [[Pruning]]. */
-  def prune(lp: LocalPairs, probs: Array[Double], algo: String,
-            r: Double = Pruning.BlastRatio): Array[Int] = {
-    val valid = lp.i.indices.filter(probs(_) >= 0.5).toArray
-    algo match {
-      case "BCl" => valid
+  /** Indices of the pairs algorithm `algo` keeps. */
+  def prune(lp: LocalPairs, probs: Array[Double], algo: String): Array[Int] =
+    prune(lp, probs, Pruning.rule(algo))
 
-      case "WEP" =>
-        if (valid.isEmpty) Array.empty
-        else {
-          val mean = valid.map(probs(_)).sum / valid.length
-          valid.filter(probs(_) >= mean)
-        }
+  /** Indices of the pairs `rule` keeps: [[Pruning.Rule]] interpreted on the
+    * driver, with the ties of [[Pruning.apply]]. Per-entity rules group the
+    * valid pairs by entity once and sum what each entity adds per pair.
+    */
+  def prune(lp: LocalPairs, probs: Array[Double], rule: Pruning.Rule): Array[Int] = {
+    import Pruning.{Blast, Edge, Mean, Node, Rank, Valid}
+    val valid = Array.range(0, lp.size).filter(probs(_) >= 0.5)
+    def ranked(ps: Array[Int]): Array[Int] = {
+      val sorted = ps.clone()
+      scala.util.Sorting.stableSort(sorted, (a: Int, b: Int) => probs(a) > probs(b) ||
+        probs(a) == probs(b) && (lp.i(a) < lp.i(b) || lp.i(a) == lp.i(b) && lp.j(a) < lp.j(b)))
+      sorted
+    }
+    def budget(k: Long): Int = math.min(k, Int.MaxValue.toLong).toInt
+    def max(ps: Array[Int]): Double = {
+      var m = Double.MinValue
+      for (p <- ps) m = math.max(m, probs(p))
+      m
+    }
+    def mean(ps: Array[Int]): Double = {
+      var sum = 0.0
+      for (p <- ps) sum += probs(p)
+      math.min(sum / ps.length, max(ps))
+    }
 
-      case "WNP" | "RWNP" =>
-        val sum = mutable.HashMap.empty[Long, Double]
-        val cnt = mutable.HashMap.empty[Long, Int]
-        valid.foreach { p =>
-          Seq(lp.i(p), lp.j(p)).foreach { e =>
-            sum(e) = sum.getOrElse(e, 0.0) + probs(p)
-            cnt(e) = cnt.getOrElse(e, 0) + 1
+    /** Per pair, the sum of what `add(ps, s)` adds to `s(p)` for each of its
+      * two endpoints, where `ps` are that entity's valid pairs.
+      */
+    def perPair(add: (Array[Int], Array[Double]) => Unit): Array[Double] = {
+      // Endpoint k is i (k even) or j (k odd) of valid(k / 2), as a dense entity index.
+      val entityOf = mutable.HashMap.empty[Long, Int]
+      val ends = new Array[Int](2 * valid.length)
+      for (k <- ends.indices) {
+        val p = valid(k / 2)
+        ends(k) = entityOf.getOrElseUpdate(if (k % 2 == 0) lp.i(p) else lp.j(p), entityOf.size)
+      }
+      // Entity e's valid pairs are member(start(e) until start(e + 1)).
+      val start = new Array[Int](entityOf.size + 1)
+      ends.foreach(e => start(e + 1) += 1)
+      for (e <- 1 to entityOf.size) start(e) += start(e - 1)
+      val next = start.clone()
+      val member = new Array[Int](ends.length)
+      ends.indices.foreach { k => member(next(ends(k))) = valid(k / 2); next(ends(k)) += 1 }
+      val s = new Array[Double](lp.size)
+      for (e <- 0 until entityOf.size)
+        add(java.util.Arrays.copyOfRange(member, start(e), start(e + 1)), s)
+      s
+    }
+
+    rule match {
+      case Valid => valid
+      case Edge(Mean) =>
+        if (valid.isEmpty) valid
+        else { val s = mean(valid); valid.filter(probs(_) >= s) }
+      case Edge(Rank) => ranked(valid).take(budget(lp.cepK))
+      case Node(stat, reciprocal) =>
+        val passes = perPair { (ps, s) =>
+          stat match {
+            case Mean => val m = mean(ps); ps.foreach(p => if (probs(p) >= m) s(p) += 1)
+            case Rank => ranked(ps).take(budget(lp.cnpK)).foreach(s(_) += 1)
           }
         }
-        def avg(e: Long): Double = sum(e) / cnt(e)
-        if (algo == "WNP")
-          valid.filter(p => probs(p) >= avg(lp.i(p)) || probs(p) >= avg(lp.j(p)))
-        else
-          valid.filter(p => probs(p) >= avg(lp.i(p)) && probs(p) >= avg(lp.j(p)))
-
-      case "BLAST" =>
-        val mx = mutable.HashMap.empty[Long, Double]
-        valid.foreach { p =>
-          Seq(lp.i(p), lp.j(p)).foreach { e =>
-            mx(e) = math.max(mx.getOrElse(e, 0.0), probs(p))
-          }
-        }
-        valid.filter(p => probs(p) >= r * (mx(lp.i(p)) + mx(lp.j(p))))
-
-      case "CEP" =>
-        valid.sortBy(p => (-probs(p), lp.i(p), lp.j(p)))
-          .take(math.min(lp.cepK, Int.MaxValue.toLong).toInt)
-
-      case "CNP" | "RCNP" =>
-        val byEntity = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Int]]
-        valid.foreach { p =>
-          byEntity.getOrElseUpdate(lp.i(p), mutable.ArrayBuffer.empty) += p
-          byEntity.getOrElseUpdate(lp.j(p), mutable.ArrayBuffer.empty) += p
-        }
-        val member = mutable.HashMap.empty[Int, Int] // pair idx -> queue count
-        byEntity.values.foreach { ps =>
-          ps.sortBy(p => (-probs(p), lp.i(p), lp.j(p)))
-            .take(math.min(lp.cnpK, Int.MaxValue.toLong).toInt)
-            .foreach(p => member(p) = member.getOrElse(p, 0) + 1)
-        }
-        val need = if (algo == "CNP") 1 else 2
-        valid.filter(p => member.getOrElse(p, 0) >= need)
-
-      case other => throw new IllegalArgumentException(s"unknown algorithm $other")
+        valid.filter(passes(_) >= (if (reciprocal) 2 else 1))
+      case Blast(r) =>
+        val s = perPair { (ps, s) => val m = max(ps); ps.foreach(s(_) += m) }
+        valid.filter(p => probs(p) >= r * s(p))
     }
   }
 
@@ -160,8 +172,9 @@ object LocalSweep {
 
   /** One complete local run: train, score, prune, evaluate. */
   def run(lp: LocalPairs, schemes: Seq[Scheme], algo: String, nPos: Int,
-          nNeg: Int, seed: Long, r: Double = Pruning.BlastRatio): Evaluation.Metrics = {
+          nNeg: Int, seed: Long): Evaluation.Metrics = {
+    val rule = Pruning.rule(algo)
     val (_, probs) = trainAndScore(lp, schemes, nPos, nNeg, seed)
-    metricsOf(lp, prune(lp, probs, algo, r))
+    metricsOf(lp, prune(lp, probs, rule))
   }
 }

@@ -35,7 +35,7 @@ object Pipeline {
     * and tp; it ends the timed region. The table is released before
     * returning.
     *
-    * @param algo        one of [[Pruning.weightBased]] / [[Pruning.cardinalityBased]]
+    * @param algo        a name in [[Pruning.rules]]
     * @param schemes     feature set
     * @param nPos / nNeg labelled instances per class
     */
@@ -47,8 +47,8 @@ object Pipeline {
       nPos: Int,
       nNeg: Int,
       seed: Long,
-      blastR: Double = Pruning.BlastRatio,
   ): RunResult = {
+    val rule = Pruning.rule(algo)
     val nDup = ds.groundTruth.count()
     val t0 = System.nanoTime()
     val labeled = Features.labeled(Features.compute(bc, schemes), ds.groundTruth)
@@ -56,7 +56,7 @@ object Pipeline {
     try {
       val ts = Trainer.sample(labeled, Scheme.featureColumns(schemes), nPos, nNeg, seed)
       val model = LogisticRegression.train(ts.featureNames, ts.x, ts.y)
-      val retained = Pruning.byName(algo, Trainer.score(labeled, model), bc.cepK, bc.cnpK, blastR)
+      val retained = Pruning(rule, Trainer.score(labeled, model), bc.cepK, bc.cnpK)
       val counts = retained.agg(count(lit(1)), coalesce(sum("label"), lit(0L))).collect()(0)
       val rt = (System.nanoTime() - t0) / 1e9
       RunResult(Evaluation.of(counts.getLong(1), counts.getLong(0), nDup), rt, model)

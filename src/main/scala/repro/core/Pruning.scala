@@ -1,157 +1,120 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.expressions.{Window, WindowSpec}
 import org.apache.spark.sql.functions._
+import scala.collection.immutable.ListMap
 
-/** The supervised pruning algorithms of §3, operating on a scored pair table
-  * (i, j, prob) where `prob` is the probabilistic classifier's output.
-  * Each returns the retained pairs as (i, j), or as (i, j, label) when the
-  * scored table has a `label` column, so a run can count its true positives
-  * without a join against the ground truth.
+/** The supervised pruning algorithms of §3 over a scored pair table
+  * (i, j, prob), where `prob` is the probabilistic classifier's output. Each
+  * returns the retained pairs as (i, j), or as (i, j, label) when the scored
+  * table has a `label` column, so a run can count its true positives without
+  * a join against the ground truth.
   *
-  * Every algorithm first restricts to the *valid* pairs (prob ≥ 0.5,
-  * Definition 2) and then applies its weight- or cardinality-based criterion.
-  * All are expressed as DataFrame operations: global/grouped aggregations for
-  * the weight thresholds, window ranks for the per-entity top-k queues.
+  * Every algorithm keeps only *valid* pairs (prob ≥ 0.5, Definition 2) and is
+  * one [[Rule]]: a global or per-entity statistic s of the valid pairs'
+  * probabilities p, and a keep rule. [[rules]] is the one table of the eight:
   *
-  * Tie-breaking for the cardinality algorithms is deterministic:
-  * (prob desc, i asc, j asc) — see DESIGN.md §5.
+  * {{{
+  * name        scope   statistic s                   keep a valid pair when
+  * BCl         -       -                             always
+  * WEP         global  mean p                        p >= s
+  * CEP         global  rank (p desc, i asc, j asc)   rank <= K
+  * WNP / RWNP  entity  mean p of the entity          p >= s at either / both endpoints
+  * BLAST       entity  max p of the entity           p >= r * (s_i + s_j)
+  * CNP / RCNP  entity  rank in the entity's pairs    rank <= k at either / both endpoints
+  * }}}
+  *
+  * K = ⌊Σ|b|/2⌋ and k = max(1, ⌊Σ|b| / (|E1|+|E2|)⌋) come from the block
+  * collection; r = [[BlastRatio]]. A mean is taken no higher than the
+  * maximum, which it can only pass by rounding: a group of equal p then
+  * reaches its own mean, in whatever order its sum was added up.
+  *
+  * [[apply]] interprets a rule as DataFrame code; [[LocalSweep.prune]]
+  * interprets the same rule on the driver.
   */
 object Pruning {
 
-  /** Names of all eight algorithms, in the paper's presentation order. */
-  val weightBased: Seq[String] = Seq("BCl", "WEP", "WNP", "RWNP", "BLAST")
-  val cardinalityBased: Seq[String] = Seq("CEP", "CNP", "RCNP")
+  /** A statistic of valid probabilities: their mean, or a pair's rank. */
+  sealed trait Stat
+  case object Mean extends Stat
+  case object Rank extends Stat
+
+  sealed trait Rule
+  /** Keep every valid pair. */
+  case object Valid extends Rule
+  /** One statistic over all valid pairs. */
+  final case class Edge(stat: Stat) extends Rule
+  /** One statistic per entity; the pair must pass at either endpoint, or at
+    * both when `reciprocal`.
+    */
+  final case class Node(stat: Stat, reciprocal: Boolean) extends Rule
+  /** Keep a pair when p ≥ r · (max_i + max_j). */
+  final case class Blast(r: Double) extends Rule
 
   /** BLAST's pruning ratio (§5.2: r = 0.35, from preliminary experiments). */
   val BlastRatio = 0.35
 
-  private def valid(scored: DataFrame): DataFrame =
-    scored.filter(col("prob") >= 0.5)
+  /** The eight algorithms, in the paper's presentation order. */
+  val rules: ListMap[String, Rule] = ListMap(
+    "BCl" -> Valid,
+    "WEP" -> Edge(Mean),
+    "WNP" -> Node(Mean, reciprocal = false),
+    "RWNP" -> Node(Mean, reciprocal = true),
+    "BLAST" -> Blast(BlastRatio),
+    "CEP" -> Edge(Rank),
+    "CNP" -> Node(Rank, reciprocal = false),
+    "RCNP" -> Node(Rank, reciprocal = true),
+  )
 
-  /** The output columns: (i, j), plus `label` when the input carries it. */
-  private def outCols(scored: DataFrame): Seq[Column] =
-    Seq(col("i"), col("j")) ++ scored.columns.find(_ == "label").map(col)
+  val cardinalityBased: Seq[String] =
+    rules.collect { case (name, Edge(Rank) | Node(Rank, _)) => name }.toSeq
+  val weightBased: Seq[String] = rules.keys.filterNot(cardinalityBased.contains).toSeq
 
-  /** Explode each pair into one row per endpoint entity, with `cols`. */
-  private def perEntity(pairs: DataFrame, cols: Seq[Column]): DataFrame =
-    pairs.select(col("i").as("eid") +: cols: _*)
-      .union(pairs.select(col("j").as("eid") +: cols: _*))
-
-  // ------------------------------------------------------------- weight-based
-
-  /** BCl — the baseline of [21]: retain every pair the classifier labels
-    * positive (prob ≥ 0.5). Approximates WEP with a global 0.5 threshold.
+  /** The rule of algorithm `name`; throws IllegalArgumentException for any
+    * name not in [[rules]].
     */
-  def bcl(scored: DataFrame): DataFrame = valid(scored).select(outCols(scored): _*)
+  def rule(name: String): Rule = rules.getOrElse(name, throw new IllegalArgumentException(
+    s"unknown algorithm $name (one of ${rules.keys.mkString(", ")})"))
 
-  /** Supervised Weighted Edge Pruning (Algorithm 1): retain pairs whose
-    * probability reaches the average probability of the valid pairs.
-    */
-  def wep(scored: DataFrame): DataFrame = {
-    val v = valid(scored)
-    val mean = v.agg(avg("prob")).collect()(0)
-    if (mean.isNullAt(0)) v.select(outCols(scored): _*).limit(0)
-    else v.filter(col("prob") >= mean.getDouble(0)).select(outCols(scored): _*)
-  }
-
-  private def withEntityAgg(scored: DataFrame, aggName: String,
-                            aggExpr: Column): DataFrame = {
-    val v = valid(scored)
-    val stats = perEntity(v, Seq(col("prob"))).groupBy("eid").agg(aggExpr.as(aggName))
-    v.join(stats.select(col("eid").as("i"), col(aggName).as(aggName + "_i")), "i")
-      .join(stats.select(col("eid").as("j"), col(aggName).as(aggName + "_j")), "j")
-  }
-
-  /** Supervised Weighted Node Pruning (Algorithm 2): retain a valid pair if
-    * its probability reaches the average valid probability of *either*
-    * endpoint entity.
-    */
-  def wnp(scored: DataFrame): DataFrame =
-    withEntityAgg(scored, "pbar", avg("prob"))
-      .filter(col("prob") >= col("pbar_i") || col("prob") >= col("pbar_j"))
-      .select(outCols(scored): _*)
-
-  /** Reciprocal WNP (§3.1): the probability must reach *both* endpoint
-    * averages — consistently deeper pruning than WNP.
-    */
-  def rwnp(scored: DataFrame): DataFrame =
-    withEntityAgg(scored, "pbar", avg("prob"))
-      .filter(col("prob") >= col("pbar_i") && col("prob") >= col("pbar_j"))
-      .select(outCols(scored): _*)
-
-  /** Supervised BLAST (Algorithm 3): retain a valid pair if its probability
-    * reaches r · (max_i + max_j), the scaled sum of the endpoints' maximum
-    * valid probabilities.
-    */
-  def blast(scored: DataFrame, r: Double = BlastRatio): DataFrame =
-    withEntityAgg(scored, "pmax", max("prob"))
-      .filter(col("prob") >= lit(r) * (col("pmax_i") + col("pmax_j")))
-      .select(outCols(scored): _*)
-
-  // -------------------------------------------------------- cardinality-based
-
-  /** Supervised Cardinality Edge Pruning (Algorithm 4): keep the K
-    * top-weighted valid pairs globally; K = ⌊Σ|b|/2⌋ over the input blocks.
-    * K is clamped at `Int.MaxValue` (as in [[LocalSweep]]); a larger K keeps
-    * every valid pair anyway.
-    */
-  def cep(scored: DataFrame, k: Long): DataFrame = {
-    require(k >= 0)
-    if (k == 0) scored.select(outCols(scored): _*).limit(0)
-    else valid(scored)
-      .orderBy(col("prob").desc, col("i").asc, col("j").asc)
-      .limit(math.min(k, Int.MaxValue.toLong).toInt)
-      .select(outCols(scored): _*)
-  }
-
-  /** Per-entity top-k membership: rank each entity's valid pairs by
-    * probability and keep ranks ≤ k — the contents of Algorithm 5's
-    * per-entity priority queues.
-    */
-  private def topKPerEntity(scored: DataFrame, k: Long): DataFrame = {
-    val w = Window.partitionBy("eid")
-      .orderBy(col("prob").desc, col("i").asc, col("j").asc)
-    perEntity(valid(scored), outCols(scored) :+ col("prob"))
-      .withColumn("rnk", row_number().over(w))
-      .filter(col("rnk") <= k)
-      .select(col("eid") +: outCols(scored): _*)
-  }
-
-  /** Supervised Cardinality Node Pruning (Algorithm 5): retain a valid pair
-    * contained in the top-k queue of *either* endpoint;
-    * k = max(1, ⌊Σ|b| / (|E1|+|E2|)⌋).
-    */
-  def cnp(scored: DataFrame, k: Long): DataFrame =
-    topKPerEntity(scored, k).select(outCols(scored): _*).distinct()
-
-  /** Reciprocal CNP (§3.2): the pair must sit in the top-k queue of *both*
-    * endpoints.
-    */
-  def rcnp(scored: DataFrame, k: Long): DataFrame = {
-    val member = topKPerEntity(scored, k)
-    val byI = member.filter(col("eid") === col("i")).select(outCols(scored): _*)
-    val byJ = member.filter(col("eid") === col("j")).select(outCols(scored): _*)
-    byI.intersect(byJ)
-  }
-
-  /** Dispatch by algorithm name (as listed in [[weightBased]] and
-    * [[cardinalityBased]]).
+  /** Prune `scored` with algorithm `name`.
     *
     * @param cepK CEP's global budget K
     * @param cnpK CNP/RCNP's per-entity budget k
     */
-  def byName(name: String, scored: DataFrame, cepK: Long, cnpK: Long,
-             r: Double = BlastRatio): DataFrame = name match {
-    case "BCl"   => bcl(scored)
-    case "WEP"   => wep(scored)
-    case "WNP"   => wnp(scored)
-    case "RWNP"  => rwnp(scored)
-    case "BLAST" => blast(scored, r)
-    case "CEP"   => cep(scored, cepK)
-    case "CNP"   => cnp(scored, cnpK)
-    case "RCNP"  => rcnp(scored, cnpK)
-    case other   => throw new IllegalArgumentException(s"unknown algorithm $other")
+  def byName(name: String, scored: DataFrame, cepK: Long, cnpK: Long): DataFrame =
+    apply(rule(name), scored, cepK, cnpK)
+
+  /** The pairs of `scored` that `rule` keeps. Per-entity rules explode each
+    * valid pair into one row per endpoint, compute the entity's statistic as
+    * a window over `eid`, and sum it back per pair.
+    */
+  def apply(rule: Rule, scored: DataFrame, cepK: Long, cnpK: Long): DataFrame = {
+    val out = Seq(col("i"), col("j")) ++ scored.columns.find(_ == "label").map(col)
+    val p = col("prob")
+    val valid = scored.filter(p >= 0.5)
+    val order = Seq(p.desc, col("i").asc, col("j").asc)
+
+    /** Per valid pair, the sum of `perEntity` over its two endpoints, as `s`. */
+    def perPair(perEntity: WindowSpec => Column): DataFrame =
+      valid.select(explode(array(col("i"), col("j"))).as("eid") +: out :+ p: _*)
+        .withColumn("s", perEntity(Window.partitionBy("eid")))
+        .groupBy(out :+ p: _*).agg(sum("s").as("s"))
+
+    val kept = rule match {
+      case Valid => valid
+      case Edge(Mean) => valid.filter(p >= valid.select(least(avg(p), max(p))).scalar())
+      case Edge(Rank) =>
+        require(cepK >= 0)
+        valid.orderBy(order: _*).limit(math.min(cepK, Int.MaxValue.toLong).toInt)
+      case Node(stat, reciprocal) =>
+        def passes(w: WindowSpec): Column = stat match {
+          case Mean => p >= least(avg(p).over(w), max(p).over(w))
+          case Rank => row_number().over(w.orderBy(order: _*)) <= cnpK
+        }
+        perPair(passes(_).cast("int")).filter(col("s") >= (if (reciprocal) 2 else 1))
+      case Blast(r) => perPair(w => max(p).over(w)).filter(p >= lit(r) * col("s"))
+    }
+    kept.select(out: _*)
   }
 }

@@ -11,12 +11,16 @@ import org.apache.spark.sql.functions._
   */
 object Trainer {
 
-  /** A collected training set, ready for [[LogisticRegression.train]]. */
+  /** A collected training set, ready for [[LogisticRegression.train]]. It
+    * holds pairs of both classes: a classifier needs both to learn from.
+    */
   final case class TrainingSet(
       featureNames: Seq[String],
       x: Array[Array[Double]],
       y: Array[Int],
   ) {
+    require(y.contains(1) && y.contains(0), "the training sample needs pairs of both " +
+      s"classes but holds ${y.count(_ == 1)} positive and ${y.count(_ == 0)} negative pairs")
     def size: Int = y.length
   }
 
@@ -45,7 +49,6 @@ object Trainer {
 
     val rows = top(1, nPos).union(top(0, nNeg)).collect()
       .sortBy(r => (-r.getInt(0), r.getLong(1), r.getLong(2), r.getLong(3)))
-    require(rows.nonEmpty, "no training instances available")
     TrainingSet(featureCols,
       rows.map(r => featureCols.indices.map(k => r.getDouble(4 + k)).toArray),
       rows.map(_.getInt(0)))

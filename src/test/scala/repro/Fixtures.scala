@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.blocking.{BlockCollection, BlockStats}
+import repro.core.LocalSweep
 
 /** Hand-computable micro block collections used across suites.
   *
@@ -48,18 +49,35 @@ object Fixtures {
 
   final case class Scored(i: Long, j: Long, prob: Double)
 
-  /** A scored pair table exercising every pruning branch:
-    * entity 1's pairs, entity 2's pairs, an invalid pair, and ties.
+  /** Scored pairs exercising every pruning branch: entity 1's pairs,
+    * entity 2's pairs, an invalid pair, and ties.
     */
+  val scoredRows: Seq[Scored] = Seq(
+    Scored(1, 101, 0.90), Scored(1, 102, 0.60), Scored(1, 103, 0.55),
+    Scored(2, 101, 0.70), Scored(2, 102, 0.70),
+    Scored(3, 103, 0.45), // invalid
+    Scored(4, 104, 0.50), // exactly at the validity threshold
+  )
+
+  /** [[scoredRows]] as a DataFrame (i, j, prob). */
   def scoredPairs(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    Seq(
-      Scored(1, 101, 0.90), Scored(1, 102, 0.60), Scored(1, 103, 0.55),
-      Scored(2, 101, 0.70), Scored(2, 102, 0.70),
-      Scored(3, 103, 0.45), // invalid
-      Scored(4, 104, 0.50), // exactly at the validity threshold
-    ).toDF()
+    scoredRows.toDF()
   }
+
+  /** `rows` as driver-side pairs whose one feature, `cfibf`, is the
+    * probability; the pairs in `positives` are labelled duplicates.
+    */
+  def localPairs(rows: Seq[Scored], cepK: Long, cnpK: Long,
+                 positives: Set[(Long, Long)] = Set.empty,
+                 nDuplicates: Long = 0): LocalSweep.LocalPairs =
+    LocalSweep.LocalPairs(
+      featureNames = Array("cfibf"),
+      i = rows.map(_.i).toArray,
+      j = rows.map(_.j).toArray,
+      x = rows.map(r => Array(r.prob)).toArray,
+      label = rows.map(r => positives((r.i, r.j))).toArray,
+      nDuplicates = nDuplicates, cepK = cepK, cnpK = cnpK)
 
   /** Collect a pruned (i, j) DataFrame into a comparable set. */
   def pairSet(df: DataFrame): Set[(Long, Long)] =

@@ -1,72 +1,21 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures
 
-/** Unit tests of the driver-side path against the same hand-worked scored
-  * table as PruningSpec (the DataFrame side), plus sampling/metrics units.
+/** Unit tests of the driver-side path's sampling, metrics and run, over the
+  * hand-worked scored table of PruningSpec (which checks both pruning
+  * interpreters).
   */
 class LocalSweepSpec extends AnyFunSuite {
 
-  /** The PruningSpec fixture: (1,101,.90) (1,102,.60) (1,103,.55)
-    * (2,101,.70) (2,102,.70) (3,103,.45) (4,104,.50).
+  /** [[Fixtures.scoredRows]] and their probabilities; the pairs in
+    * `positives` are labelled duplicates, of 4 in the ground truth.
     */
-  private def fixture(cepK: Long = 100, cnpK: Long = 10): (LocalSweep.LocalPairs, Array[Double]) = {
-    val rows = Seq(
-      (1L, 101L, 0.90), (1L, 102L, 0.60), (1L, 103L, 0.55),
-      (2L, 101L, 0.70), (2L, 102L, 0.70), (3L, 103L, 0.45), (4L, 104L, 0.50))
-    val lp = LocalSweep.LocalPairs(
-      featureNames = Array("cfibf"),
-      i = rows.map(_._1).toArray,
-      j = rows.map(_._2).toArray,
-      x = rows.map(r => Array(r._3)).toArray,
-      label = Array(true, false, false, false, true, false, true),
-      nDuplicates = 4, cepK = cepK, cnpK = cnpK)
-    (lp, rows.map(_._3).toArray)
-  }
-
-  private def pairs(lp: LocalSweep.LocalPairs, kept: Array[Int]): Set[(Long, Long)] =
-    kept.map(p => (lp.i(p), lp.j(p))).toSet
-
-  test("BCl keeps the valid pairs") {
-    val (lp, probs) = fixture()
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "BCl")) === Set(
-      (1L, 101L), (1L, 102L), (1L, 103L), (2L, 101L), (2L, 102L), (4L, 104L)))
-  }
-
-  test("WEP keeps pairs at or above the valid mean") {
-    val (lp, probs) = fixture()
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "WEP")) === Set(
-      (1L, 101L), (2L, 101L), (2L, 102L)))
-  }
-
-  test("WNP / RWNP endpoint-average semantics") {
-    val (lp, probs) = fixture()
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "WNP")) === Set(
-      (1L, 101L), (1L, 103L), (2L, 101L), (2L, 102L), (4L, 104L)))
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "RWNP")) === Set(
-      (1L, 101L), (2L, 102L), (4L, 104L)))
-  }
-
-  test("BLAST at r = 0.35 and r = 0.5") {
-    val (lp, probs) = fixture()
-    assert(LocalSweep.prune(lp, probs, "BLAST").length === 6)
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "BLAST", r = 0.5)) === Set(
-      (1L, 101L), (2L, 102L), (4L, 104L)))
-  }
-
-  test("CEP with small K keeps the top-weighted with deterministic ties") {
-    val (lp, probs) = fixture(cepK = 3)
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "CEP")) === Set(
-      (1L, 101L), (2L, 101L), (2L, 102L)))
-  }
-
-  test("CNP / RCNP with k = 1") {
-    val (lp, probs) = fixture(cnpK = 1)
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "CNP")) === Set(
-      (1L, 101L), (2L, 101L), (2L, 102L), (1L, 103L), (4L, 104L)))
-    assert(pairs(lp, LocalSweep.prune(lp, probs, "RCNP")) === Set(
-      (1L, 101L), (4L, 104L)))
-  }
+  private def fixture(positives: Set[(Long, Long)] = Set((1L, 101L), (2L, 102L), (4L, 104L)))
+      : (LocalSweep.LocalPairs, Array[Double]) =
+    (Fixtures.localPairs(Fixtures.scoredRows, cepK = 100, cnpK = 10, positives, nDuplicates = 4),
+      Fixtures.scoredRows.map(_.prob).toArray)
 
   test("unknown algorithm is rejected") {
     val (lp, probs) = fixture()
@@ -96,6 +45,12 @@ class LocalSweepSpec extends AnyFunSuite {
     assert(ts.y.count(_ == 0) === 2)
     val ts2 = LocalSweep.sample(lp, Array(0), 2, 2, seed = 9)
     assert(ts.x.map(_.toSeq).toSeq === ts2.x.map(_.toSeq).toSeq)
+  }
+
+  test("sample without a positive pair fails with a clear error") {
+    val (lp, _) = fixture(positives = Set.empty)
+    val e = intercept[IllegalArgumentException] { LocalSweep.sample(lp, Array(0), 2, 2, seed = 9) }
+    assert(e.getMessage.contains("needs pairs of both classes"))
   }
 
   test("run produces metrics on a trivially separable table") {

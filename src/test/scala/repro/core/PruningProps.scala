@@ -1,35 +1,35 @@
 package repro.core
 
-import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.{Gen, Prop, Properties, Test}
+import org.scalacheck.Prop.propBoolean
+import repro.{Fixtures, SparkSpec}
 
 /** ScalaCheck invariants of the pruning algorithms, exercised through the
-  * driver-side implementation (equivalence with the DataFrame path is proved
-  * separately in LocalSweepEquivalenceSpec).
+  * driver-side interpreter.
   */
 object PruningProps extends Properties("Pruning") {
 
-  /** Random scored pair tables: a handful of entities on each side, random
-    * probabilities in [0,1], no duplicate pairs.
+  /** Random scored pair tables without duplicate pairs: Clean-Clean ids (a
+    * handful of entities on each side) or Dirty ids (i < j, so an entity
+    * can sit on both sides). The probabilities take 3–4 random values per
+    * table, so ties occur within entities and across the table.
     */
-  private val scoredGen: Gen[LocalSweep.LocalPairs] = for {
+  private[core] val withProbs: Gen[(LocalSweep.LocalPairs, Array[Double])] = for {
     n <- Gen.choose(1, 60)
-    pairs <- Gen.listOfN(n, Gen.zip(Gen.choose(0L, 9L), Gen.choose(100L, 109L)))
+    dirty <- Gen.oneOf(false, true)
+    pairs <-
+      if (dirty) Gen.listOfN(n, Gen.zip(Gen.choose(0L, 11L), Gen.choose(0L, 11L)))
+        .map(_.collect { case (a, b) if a != b => (math.min(a, b), math.max(a, b)) })
+      else Gen.listOfN(n, Gen.zip(Gen.choose(0L, 9L), Gen.choose(100L, 109L)))
     distinct = pairs.distinct
-    probs <- Gen.listOfN(distinct.size, Gen.choose(0.0, 1.0))
+    values <- Gen.choose(3, 4).flatMap(Gen.listOfN(_, Gen.choose(0.0, 1.0)))
+    probs <- Gen.listOfN(distinct.size, Gen.oneOf(values))
     cepK <- Gen.choose(0L, 40L)
     cnpK <- Gen.choose(1L, 6L)
-  } yield LocalSweep.LocalPairs(
-    featureNames = Array("p"),
-    i = distinct.map(_._1).toArray,
-    j = distinct.map(_._2).toArray,
-    x = distinct.map(_ => Array(0.0)).toArray,
-    label = distinct.map(_ => false).toArray,
-    nDuplicates = 1, cepK = cepK, cnpK = cnpK)
-
-  private val withProbs: Gen[(LocalSweep.LocalPairs, Array[Double])] =
-    scoredGen.flatMap { lp =>
-      Gen.listOfN(lp.size, Gen.choose(0.0, 1.0)).map(ps => (lp, ps.toArray))
-    }
+  } yield {
+    val rows = distinct.zip(probs).map { case ((i, j), p) => Fixtures.Scored(i, j, p) }
+    (Fixtures.localPairs(rows, cepK, cnpK), probs.toArray)
+  }
 
   private def retained(lp: LocalSweep.LocalPairs, probs: Array[Double], algo: String) =
     LocalSweep.prune(lp, probs, algo).toSet
@@ -77,7 +77,7 @@ object PruningProps extends Properties("Pruning") {
     Prop.forAll(withProbs) { case (lp, probs) =>
       // max_i + max_j <= 2, so r*(sum) <= 0.5 <= p for every valid pair.
       retained(lp, probs, "BCl") ==
-        LocalSweep.prune(lp, probs, "BLAST", r = 0.25).toSet
+        LocalSweep.prune(lp, probs, Pruning.Blast(0.25)).toSet
     }
 
   property("monotone in k: CNP(k) ⊆ CNP(k+1)") = Prop.forAll(withProbs) {
@@ -94,5 +94,28 @@ object PruningProps extends Properties("Pruning") {
         val top = valid.maxBy(probs(_))
         retained(lp, probs, "WEP").contains(top)
       }
+    }
+}
+
+/** The DataFrame and driver interpreters of a [[Pruning.Rule]] agree on
+  * [[PruningProps]]' tables. Each table costs eight Spark queries, so this
+  * property runs on fewer tables than the driver-only ones, and does not
+  * shrink a failing table (each shrink step would cost eight more).
+  */
+object PruningPathProps extends Properties("Pruning paths") {
+
+  override def overrideParameters(p: Test.Parameters): Test.Parameters =
+    p.withMinSuccessfulTests(40)
+
+  property("the DataFrame and driver interpreters keep the same pairs") =
+    Prop.forAllNoShrink(PruningProps.withProbs) { case (lp, probs) =>
+      val spark = SparkSpec.shared
+      import spark.implicits._
+      val scored = lp.i.indices.map(r => Fixtures.Scored(lp.i(r), lp.j(r), probs(r))).toDF()
+      Prop.all(Pruning.rules.toSeq.map { case (algo, rule) =>
+        val df = Fixtures.pairSet(Pruning(rule, scored, lp.cepK, lp.cnpK))
+        val local = LocalSweep.prune(lp, probs, rule).map(p => (lp.i(p), lp.j(p))).toSet
+        (df == local) :| s"$algo: DataFrame path kept $df, driver path kept $local"
+      }: _*)
     }
 }

@@ -45,6 +45,12 @@ class TrainerSpec extends SparkSpec {
     assert(ts.y.count(_ == 1) === nPos)
   }
 
+  test("a sample without a positive pair fails with a clear error") {
+    val negatives = labeled.filter(col("label") === 0)
+    val e = intercept[IllegalArgumentException] { Trainer.sample(negatives, cols, 10, 10, seed = 1) }
+    assert(e.getMessage.contains("needs pairs of both classes"))
+  }
+
   test("feature vectors come back in the requested column order") {
     val ts = Trainer.sample(labeled, Seq("js", "cfibf"), 5, 5, seed = 3)
     assert(ts.featureNames === Seq("js", "cfibf"))
